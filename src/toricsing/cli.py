@@ -32,6 +32,7 @@ from .enumerators import (
     enumerate_canonical_odp,
     enumerate_canonical_smooth,
     enumerate_terminal_cyclic,
+    resolve_jobs,
 )
 from .quotient import CyclicQuotientType, is_canonical, minimal_discrepancy, normalize
 from .surfaces import (
@@ -92,6 +93,14 @@ def _parse_blowup(base_text, weight_parts):
     w = _flatten_ints(weight_parts)
     try:
         return WeightedBlowup(base, w)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _jobs(args):
+    """The worker count of --jobs or TORICSING_JOBS; a bad one is a usage error."""
+    try:
+        return resolve_jobs(args.jobs)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -196,15 +205,16 @@ def cmd_enumerate(args):
         raise UsageError("enumeration over a cyclic base is the --terminal search")
     if base.kind == "odp" and args.terminal:
         raise UsageError("the --terminal search is not run over the odp base")
+    jobs = _jobs(args)
     if base.kind == "smooth":
         if args.terminal:
-            report = enumerate_terminal_cyclic(1, 1, args.bound, jobs=args.jobs)
+            report = enumerate_terminal_cyclic(1, 1, args.bound, jobs=jobs)
         else:
-            report = enumerate_canonical_smooth(args.bound, jobs=args.jobs)
+            report = enumerate_canonical_smooth(args.bound, jobs=jobs)
     elif base.kind == "odp":
-        report = enumerate_canonical_odp(args.bound, jobs=args.jobs)
+        report = enumerate_canonical_odp(args.bound, jobs=jobs)
     else:
-        report = enumerate_terminal_cyclic(base.r, base.q, args.bound, jobs=args.jobs)
+        report = enumerate_terminal_cyclic(base.r, base.q, args.bound, jobs=jobs)
     rows = _enum_rows(base, report)
     payload = {
         "base": base.as_dict(),
@@ -306,7 +316,7 @@ def cmd_table(args):
         ]
         return _emit(args, lines, payload, rows_csv)
     if args.which == "quadric-triples":
-        report = enumerate_canonical_odp(args.bound, jobs=args.jobs)
+        report = enumerate_canonical_odp(args.bound, jobs=_jobs(args))
         rows = []
         for w in report.hits:
             qp = quadric_surface_pair(w)

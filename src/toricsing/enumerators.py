@@ -88,14 +88,19 @@ class EnumerationReport:
 
 
 def resolve_jobs(jobs=None):
-    """Worker count: the explicit argument, else TORICSING_JOBS, else 1."""
+    """Worker count: the explicit argument, else TORICSING_JOBS, else 1,
+    capped at the number of CPUs (more workers than CPUs only add start-up
+    cost, and the count goes straight to the process pool)."""
     if jobs is None:
         env = os.environ.get("TORICSING_JOBS", "").strip()
-        jobs = int(env) if env else 1
+        try:
+            jobs = int(env) if env else 1
+        except ValueError:
+            raise ValueError("TORICSING_JOBS must be an integer, got %r" % env)
     jobs = int(jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    return jobs
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _filter(pred, items, jobs):
@@ -207,8 +212,9 @@ def enumerate_canonical_odp(max_weight, jobs=None):
     """Balanced primitive quadruples (least in their symmetry orbit) whose
     odp blow-up has canonical charts.
 
-    The hit set is asserted to coincide with the candidates carrying a unit
-    weight — the closed-form description of the canonical odp blow-ups.
+    The hit set is checked to coincide with the candidates carrying a unit
+    weight — the closed-form description of the canonical odp blow-ups —
+    and a mismatch raises RuntimeError.
     """
     bound = int(max_weight)
     if bound < 1:
@@ -216,7 +222,11 @@ def enumerate_canonical_odp(max_weight, jobs=None):
     jobs = resolve_jobs(jobs)
     candidates = _odp_candidates(bound)
     hits = _filter(_canonical_odp, candidates, jobs)
-    assert hits == [w for w in candidates if min(w) == 1]
+    if hits != [w for w in candidates if min(w) == 1]:
+        raise RuntimeError(
+            "canonical odp hits at bound %d differ from the unit-weight candidates"
+            % bound
+        )
     tags = {h: "unit-weight" for h in hits}
     return EnumerationReport(bound, tuple(hits), tags)
 

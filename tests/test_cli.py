@@ -240,3 +240,19 @@ def test_jobs_do_not_change_bytes():
     ref = run(base + ["--jobs", "1"])
     assert run(base + ["--jobs", "2"]) == ref
     assert ref[0] == 0
+
+
+def test_enumerate_bad_jobs_env_is_usage_error(monkeypatch):
+    monkeypatch.setenv("TORICSING_JOBS", "abc")
+    code, out, err = run(["enumerate", "--base", "smooth", "--bound", "3"])
+    assert code == 2 and out == ""
+    assert err == "usage error: TORICSING_JOBS must be an integer, got 'abc'\n"
+
+
+def test_enumerate_zero_jobs_is_usage_error():
+    code, out, err = run(["enumerate", "--base", "smooth", "--bound", "3", "--jobs", "0"])
+    assert code == 2 and out == ""
+    assert err == "usage error: jobs must be >= 1\n"
+    code, out, err = run(["table", "quadric-triples", "--bound", "3", "--jobs", "0"])
+    assert code == 2 and out == ""
+    assert err == "usage error: jobs must be >= 1\n"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from toricsing import enumerators
 from toricsing.blowup import (
     BaseSingularity,
     WeightedBlowup,
@@ -133,20 +134,41 @@ def test_jobs_determinism():
 
 
 def test_resolve_jobs():
-    assert resolve_jobs(3) == 3
+    cpus = os.cpu_count() or 1
+    assert resolve_jobs(1) == 1
+    assert resolve_jobs(3) == min(3, cpus)
     with pytest.raises(ValueError):
         resolve_jobs(0)
     old = os.environ.get("TORICSING_JOBS")
     try:
         os.environ["TORICSING_JOBS"] = "4"
-        assert resolve_jobs() == 4
+        assert resolve_jobs() == min(4, cpus)
         os.environ["TORICSING_JOBS"] = ""
         assert resolve_jobs() == 1
+        os.environ["TORICSING_JOBS"] = "abc"
+        with pytest.raises(ValueError, match="TORICSING_JOBS must be an integer"):
+            resolve_jobs()
     finally:
         if old is None:
             os.environ.pop("TORICSING_JOBS", None)
         else:
             os.environ["TORICSING_JOBS"] = old
+
+
+def test_resolve_jobs_caps_at_cpu_count(monkeypatch):
+    # resolved only, never passed to a pool
+    assert resolve_jobs(10**6) == (os.cpu_count() or 1)
+    monkeypatch.setenv("TORICSING_JOBS", str(10**6))
+    assert resolve_jobs() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_jobs(10**6) == 1
+
+
+def test_odp_closed_form_check_survives_optimization(monkeypatch):
+    """The hit-set check is an explicit exception, not an assert."""
+    monkeypatch.setattr(enumerators, "_canonical_odp", lambda w: True)
+    with pytest.raises(RuntimeError, match="unit-weight candidates"):
+        enumerate_canonical_odp(4, jobs=1)
 
 
 def test_smooth_family_tag_edges():
