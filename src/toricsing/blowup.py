@@ -16,7 +16,13 @@ from math import gcd
 
 from . import lattice
 from .lattice import content
-from .quotient import CyclicQuotientType, canonical_by_criterion, is_canonical, normalize
+from .quotient import (
+    CyclicQuotientType,
+    canonical_by_criterion,
+    is_canonical,
+    is_terminal,
+    normalize,
+)
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)
@@ -132,63 +138,61 @@ def _report(raw_charts):
     return ChartReport(labels=labels, charts=charts, verdicts=verdicts, cs_points=cs)
 
 
-def charts_smooth(w):
-    """Chart types 1/w_i(w_j, w_k, w_i - 1) of the smooth-point blow-up."""
-    b = WeightedBlowup(BaseSingularity.smooth(), w)
-    w1, w2, w3 = b.weights
-    return _report(
-        [
+def chart_types(b):
+    """Raw chart types at the torus-fixed points, in weight order.
+
+    Smooth base: 1/w_i(w_j, w_k, w_i - 1).  Cyclic base 1/r(-1,-q,1): with u
+    the inverse of q mod r in [0, r) and v = (1 - uq)/r the charts are
+    1/w3(-w1,-w2,1), 1/(rw2-qw3)(-w1+uw2+vw3, -uw2-vw3, 1) and
+    1/(rw1-w3)(-w1, qw1-w2, 1).  Odp base: 1/w_i(w_k, w_l, -1) with (k,l)
+    the complementary pair on the other side of the quadric.  The types are
+    not normalized; the membership tests below need no normal form, since
+    the criterion and terminality hold on a whole orbit of units and
+    permutations or on none of it.
+    """
+    if b.base.kind == "smooth":
+        w1, w2, w3 = b.weights
+        return (
             CyclicQuotientType(w1, (w2, w3, w1 - 1)),
             CyclicQuotientType(w2, (w1, w3, w2 - 1)),
             CyclicQuotientType(w3, (w1, w2, w3 - 1)),
-        ]
-    )
-
-
-def charts_cyclic(base, w):
-    """Chart types of the 1/r(-1,-q,1) blow-up at weight w.
-
-    With u the inverse of q mod r in [0, r) and v = (1 - uq)/r the charts are
-    1/w3(-w1,-w2,1), 1/(rw2-qw3)(-w1+uw2+vw3, -uw2-vw3, 1) and
-    1/(rw1-w3)(-w1, qw1-w2, 1).
-    """
-    b = WeightedBlowup(base, w)
-    r, q = base.r, base.q
-    w1, w2, w3 = b.weights
-    u = pow(q, -1, r)
-    v = (1 - u * q) // r
-    return _report(
-        [
+        )
+    if b.base.kind == "cyclic":
+        r, q = b.base.r, b.base.q
+        w1, w2, w3 = b.weights
+        u = pow(q, -1, r)
+        v = (1 - u * q) // r
+        return (
             CyclicQuotientType(w3, (-w1, -w2, 1)),
             CyclicQuotientType(
                 r * w2 - q * w3, (-w1 + u * w2 + v * w3, -u * w2 - v * w3, 1)
             ),
             CyclicQuotientType(r * w1 - w3, (-w1, q * w1 - w2, 1)),
-        ]
-    )
-
-
-def charts_odp(w):
-    """Chart types 1/w_i(w_k, w_l, -1) of the odp blow-up, complementary pair
-    (k,l) on the other side of the quadric."""
-    b = WeightedBlowup(BaseSingularity.odp(), w)
+        )
     w1, w2, w3, w4 = b.weights
-    return _report(
-        [
-            CyclicQuotientType(w1, (w3, w4, -1)),
-            CyclicQuotientType(w2, (w3, w4, -1)),
-            CyclicQuotientType(w3, (w1, w2, -1)),
-            CyclicQuotientType(w4, (w1, w2, -1)),
-        ]
+    return (
+        CyclicQuotientType(w1, (w3, w4, -1)),
+        CyclicQuotientType(w2, (w3, w4, -1)),
+        CyclicQuotientType(w3, (w1, w2, -1)),
+        CyclicQuotientType(w4, (w1, w2, -1)),
     )
 
 
 def charts(b):
-    if b.base.kind == "smooth":
-        return charts_smooth(b.weights)
-    if b.base.kind == "cyclic":
-        return charts_cyclic(b.base, b.weights)
-    return charts_odp(b.weights)
+    """The chart report of a blow-up: normalized charts and their verdicts."""
+    return _report(chart_types(b))
+
+
+def charts_smooth(w):
+    return charts(WeightedBlowup(BaseSingularity.smooth(), w))
+
+
+def charts_cyclic(base, w):
+    return charts(WeightedBlowup(base, w))
+
+
+def charts_odp(w):
+    return charts(WeightedBlowup(BaseSingularity.odp(), w))
 
 
 def odp_vector_to_weights(a):
@@ -303,13 +307,11 @@ def is_canonical_blowup(b):
     For primitive weights the criterion still implies every chart is
     canonical, so members really are canonical blow-ups.
     """
-    report = charts(b)
     return (
-        all(canonical_by_criterion(c) for c in report.charts)
+        all(canonical_by_criterion(c) for c in chart_types(b))
         and discrepancy_zero(b) > 0
     )
 
 
 def is_terminal_blowup(b):
-    report = charts(b)
-    return all(v.kind == "terminal" for v in report.verdicts) and discrepancy_zero(b) > 0
+    return all(is_terminal(c) for c in chart_types(b)) and discrepancy_zero(b) > 0

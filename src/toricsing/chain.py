@@ -36,7 +36,7 @@ from math import gcd, prod
 
 from .blowup import (
     WeightedBlowup,
-    charts,
+    chart_types,
     discrepancy_zero,
     is_canonical_blowup,
 )
@@ -51,7 +51,14 @@ from .lattice import (
     vec_add,
     vec_scale,
 )
-from .surfaces import TripleRecord, _canonical_rows, exceptional_surface
+from .quotient import is_terminal
+from .surfaces import (
+    TripleRecord,
+    canonical_matches,
+    exceptional_surface,
+    match_plt_case,
+    triple_case_classes,
+)
 
 
 class ChainError(ValueError):
@@ -65,34 +72,6 @@ def complement_index_for(ade):
     if ade.startswith("D"):
         return 2
     return {"E6": 3, "E7": 4, "E8": 6}[ade]
-
-
-# Which A/D/E classes each triple case can carry; used as a consistency
-# check between the stored case id and the stored type.
-_CASE_TYPES = {
-    "plt-1": ("A",),
-    "plt-2": ("D", "E6", "E7", "E8"),
-    "plt-3": ("A", "D", "E6"),
-    "plt-4": ("A",),
-    "plt-5": ("A", "D", "E7"),
-    "plt-6": ("D",),
-    "plt-7": ("A", "D"),
-    "plt-8": ("A",),
-    "canonical-A": ("A",),
-    "canonical-D": ("D",),
-    "canonical-E6": ("E6",),
-    "canonical-E7": ("E7",),
-    "canonical-E8": ("E8",),
-}
-
-
-def _ade_matches(ade, allowed):
-    for cls in allowed:
-        if ade == cls:
-            return True
-        if cls in ("A", "D") and ade.startswith(cls):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -200,9 +179,13 @@ class ChainState:
             raise ValueError("the pair degree on the marked curve must be negative")
         if not (self.a_plus_1 > 0):
             raise ValueError("a_plus_1 must be positive")
-        if self.case not in _CASE_TYPES:
+        allowed = triple_case_classes(self.case)
+        if allowed is None:
             raise ValueError("unknown triple case %r" % (self.case,))
-        if not _ade_matches(self.ade, _CASE_TYPES[self.case]):
+        if not any(
+            self.ade == c or (c in ("A", "D") and self.ade.startswith(c))
+            for c in allowed
+        ):
             raise ValueError(
                 "type %s is not carried by case %s" % (self.ade, self.case)
             )
@@ -291,10 +274,12 @@ def _point_step_data(point, beta1, beta2):
     e1, e2, e3 = point.rays
     bvec = vec_add(vec_scale(beta1, e2), vec_scale(beta2, e3))
     bvec, cont = primitivize(bvec)
-    assert cont == 1  # coprimality of beta and unimodularity of the face
+    if cont != 1:  # beta is coprime and the (E2, E3)-face unimodular
+        raise RuntimeError("the curve direction %r is not primitive" % (bvec,))
     k = content(cross(bvec, e1))
     r = point.local_index
-    assert r % k == 0
+    if r % k:
+        raise RuntimeError("fibre index %d does not divide the local index %d" % (k, r))
     return k, r // k
 
 
@@ -334,7 +319,8 @@ def step(state, beta1, beta2, fiber=1):
             "chain terminates: no integral contraction point for these weights"
         )
     m3 = int(m3_frac)
-    assert m3 >= 1
+    if m3 < 1:
+        raise RuntimeError("contraction index %d is not positive" % m3)
 
     # Line arithmetic on the new surface determined by (m1, m2, m3): the
     # section E0 has degree m3 and the fibres F1, F2 degrees m2, m1.
@@ -408,16 +394,18 @@ def canonical_chain_step(state, beta1, beta2=1):
     """
     if state.elephant_mult is None:
         raise ChainError("state carries no elephant ledger")
+    if state.elephant_mult != 1:
+        raise ChainError("the elephant ledger is modeled for multiplicity one")
     beta1 = int(beta1)
     beta2 = int(beta2)
     if beta1 < 1:
         raise ValueError("beta1 must be a positive integer")
     if beta2 != 1:
         raise ChainError("the elephant pullback forces beta2 = 1")
-    assert state.elephant_mult == 1
     a_plain = beta1 + beta2 - 1
     a_pair = a_plain - beta1 * state.elephant_mult
-    assert a_pair == 0
+    if a_pair != 0:
+        raise RuntimeError("the pulled-back elephant has discrepancy %d" % a_pair)
     return dataclasses.replace(
         state, elephant_ledger=state.elephant_ledger + ((a_plain, a_pair),)
     )
@@ -429,7 +417,7 @@ def canonical_chain_step(state, beta1, beta2=1):
 
 
 @dataclass(frozen=True)
-class _StarSurface:
+class StarSurface:
     """The exceptional surface of a blow-up, read off the star of its ray.
 
     gens are the base cone generators, w the inserted vector; rays are the
@@ -445,7 +433,8 @@ class _StarSurface:
     lams: tuple
 
 
-def _star_surface(b):
+def star_surface(b):
+    """The exceptional surface of a point blow-up, read off the star of its ray."""
     gens = b.base.cone_generators()
     if len(gens) != 3:
         raise ValueError("chain starts are modeled over smooth and cyclic bases only")
@@ -465,58 +454,9 @@ def _star_surface(b):
                 )
     if b.base.kind == "smooth":
         surf = exceptional_surface(w)
-        assert lams == surf.weights
-        assert cs == tuple(surf.boundary_index(i) for i in (1, 2, 3))
-    return _StarSurface(gens=gens, w=w, rays=prims, cs=cs, lams=lams)
-
-
-def _expected_surface(record):
-    """((lam, c) pairs and gamma) that a triple record's surface must show."""
-    case, p = record.case, record.params
-    if case == "plt-1":
-        return [(1, p[0]), (1, 1), (1, 1)], 2
-    if case == "plt-2":
-        return [(1, p[0]), (1, p[1]), (1, p[2])], 1
-    if case == "plt-3":
-        return [(p[0], p[1]), (1, p[2]), (1, 1)], p[0]
-    if case == "plt-4":
-        return [(p[0], 1), (1, p[1]), (1, 1)], p[0] + 1
-    if case == "plt-5":
-        a2 = p[0]
-        return [(a2 + 1, p[1]), (a2, p[2]), (1, 1)], a2 + 1
-    if case == "plt-6":
-        a2 = p[0]
-        return [(2 * a2 + 1, 2), (a2, 1), (1, 1)], 2 * a2 + 1
-    if case == "plt-7":
-        a2, l, d1, d2 = p
-        return [(l * a2 - 1, d1), (a2, d2), (1, 1)], l * a2
-    if case == "plt-8":
-        a1, a2, d1 = p
-        return [(a1, 1), (a2, 1), (1, d1)], a1 + a2
-    return None
-
-
-def _canonical_weights(record):
-    """Blow-up weights and curve class named by a canonical-table record."""
-    case, p = record.case, record.params
-    if case == "canonical-A":
-        a1, a2, q3 = p
-        return tuple(sorted((a1 * q3, a2 * q3, 1), reverse=True)), a1 + a2
-    if case == "canonical-D":
-        l, shape = p[0], p[1]
-        if shape == "l,l-1,2":
-            return tuple(sorted((l, l - 1, 2), reverse=True)), l
-        if shape == "l+1,l,1":
-            return (l + 1, l, 1), 2 * l
-        if shape == "l,l,1":
-            return (l, l, 1), 2
-        raise ValueError("unknown canonical D shape %r" % (shape,))
-    # E rows store the weights themselves; the curve class comes from the table
-    weights = tuple(p)
-    for t, w, g, _split in _canonical_rows():
-        if "canonical-%s" % t == case and w == weights:
-            return weights, g
-    raise ValueError("no canonical row with these weights and type")
+        if (lams, cs) != (surf.weights, tuple(map(surf.boundary_index, (1, 2, 3)))):
+            raise RuntimeError("the star of %r is not its exceptional surface" % (w,))
+    return StarSurface(gens=gens, w=w, rays=prims, cs=cs, lams=lams)
 
 
 _PAD_POINT_RAYS = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
@@ -573,7 +513,8 @@ def _start_marked_points(star, gamma):
         if cs[m] == 1:
             continue
         c, s = face_type(gens[m], w)
-        assert c == cs[m]
+        if c != cs[m]:
+            raise RuntimeError("face index %d is not the boundary index %d" % (c, cs[m]))
         cone = ((c, -s, 0), (0, 0, 1), (0, 1, 0))
         for _ in range(int(rem)):
             points.append(MarkedPoint(cone, label="crossing-%d" % (m + 1)))
@@ -608,27 +549,21 @@ def start_chain(b, record):
     if record.case.startswith("canonical-"):
         if b.base.kind != "smooth":
             raise ValueError("canonical-table starts live over a smooth base")
-        weights, gamma = _canonical_weights(record)
-        if tuple(sorted(b.weights, reverse=True)) != weights:
-            raise ValueError(
-                "triple does not match the exceptional surface of this blow-up"
-            )
+        rows = {(rec.case, rec.params): g for rec, g in canonical_matches(b.weights)}
+        gamma = rows.get((record.case, tuple(record.params)))
         elephant_mult = 1
-        star = _star_surface(b)
+        star = star_surface(b)
     else:
-        if charts(b).cs_points:
+        if not all(is_terminal(t) for t in chart_types(b)):
             raise ValueError(
                 "the blow-up has canonical-but-not-terminal points;"
                 " a plt triple cannot live on its exceptional surface"
             )
-        star = _star_surface(b)
-        want = _expected_surface(record)
-        assert want is not None
-        pairs, gamma = want
-        if sorted(zip(star.lams, star.cs)) != sorted(pairs):
-            raise ValueError(
-                "triple does not match the exceptional surface of this blow-up"
-            )
+        star = star_surface(b)
+        match = match_plt_case(record.case, star.lams, star.cs)
+        gamma = match[1] if match and match[0].params == tuple(record.params) else None
+    if gamma is None:
+        raise ValueError("triple does not match the exceptional surface of this blow-up")
 
     if b.base.kind == "cyclic":
         for a in range(3):

@@ -40,6 +40,7 @@ from .surfaces import (
     canonical_triple_table,
     classify_canonical_triple,
     classify_plt_triple,
+    match_plt_case,
     quadric_surface_pair,
     quadric_triple_condition,
     triple_ample_and_adjunction,
@@ -114,7 +115,8 @@ def _emit(args, lines=None, payload=None, rows_csv=None):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
-        assert rows_csv is not None
+        if rows_csv is None:
+            raise RuntimeError("csv output needs rows")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(rows_csv)
@@ -428,32 +430,16 @@ def _parse_betas(text):
     return steps
 
 
-def _plt_gamma(lams):
-    """The curve class each plt case forces on its surface."""
-    top = sorted(lams, reverse=True)
-    return {
-        "1": 2,
-        "2": 1,
-        "3": top[0],
-        "4": top[0] + 1,
-        "5": top[0],
-        "6": top[0],
-        "7": top[0] + 1,
-        "8": top[0] + top[1],
-    }
-
-
 def _chain_record(b, case, gamma_opt):
     if case in _PLT_CASES:
-        star = chain_mod._star_surface(b)
-        gamma = _plt_gamma(star.lams)[case]
-        rec = classify_plt_triple(star.lams, star.cs, gamma)
-        if rec is None or rec.case != "plt-%s" % case:
+        star = chain_mod.star_surface(b)
+        match = match_plt_case("plt-" + case, star.lams, star.cs)
+        if match is None:
             raise ValueError(
                 "the exceptional surface of this blow-up does not carry case %s"
                 % case
             )
-        return rec
+        return match[0]
     if gamma_opt is None:
         raise UsageError("canonical cases need --gamma")
     recs = [

@@ -24,7 +24,7 @@ from .blowup import (
     is_canonical_blowup,
     is_terminal_blowup,
 )
-from .surfaces import WPSPair, triple_ample_and_adjunction
+from .surfaces import PLT_CASES, WPSPair, triple_ample_and_adjunction
 
 #: the nine canonical smooth-point weight vectors outside the two families
 SPORADIC_SMOOTH = (
@@ -231,38 +231,8 @@ def enumerate_canonical_odp(max_weight, jobs=None):
     return EnumerationReport(bound, tuple(hits), tags)
 
 
-def _plt_case_shape(case_id, params):
-    """Surface weights, per-line boundary indices, and curve class of one
-    parameter tuple in the given plt-triple case."""
-    if case_id == 1:
-        (d1,) = params
-        return (1, 1, 1), (d1, 1, 1), 2
-    if case_id == 2:
-        d1, d2, d3 = params
-        return (1, 1, 1), (d1, d2, d3), 1
-    if case_id == 3:
-        a1, d1, d2 = params
-        return (a1, 1, 1), (d1, d2, 1), a1
-    if case_id == 4:
-        a1, d1 = params
-        return (a1, 1, 1), (1, d1, 1), a1 + 1
-    if case_id == 5:
-        a2, d1, d2 = params
-        return (a2 + 1, a2, 1), (d1, d2, 1), a2 + 1
-    if case_id == 6:
-        (a2,) = params
-        return (2 * a2 + 1, a2, 1), (2, 1, 1), 2 * a2 + 1
-    if case_id == 7:
-        a2, l, d1, d2 = params
-        return (l * a2 - 1, a2, 1), (d1, d2, 1), l * a2
-    if case_id == 8:
-        a1, a2, d1 = params
-        return (a1, a2, 1), (1, 1, d1), a1 + a2
-    raise ValueError("case_id must be 1..8")
-
-
-def _plt_ample(case_id, params):
-    weights, indices, gamma = _plt_case_shape(case_id, params)
+def _plt_ample(case, params):
+    weights, indices, gamma = PLT_CASES[case].shape(*params)
     boundary = [
         (line, Fraction(m - 1, m)) for line, m in zip((1, 2, 3), indices) if m > 1
     ]
@@ -311,49 +281,11 @@ def _plt_candidates(case_id, bound):
 
 def plt_family_tag(case_id, params):
     """Constraint family of one plt-case hit, None when it fits no family."""
-    if case_id == 1:
-        return "d1>=1"
-    if case_id == 2:
-        d = tuple(sorted(params))
-        if d[:2] == (2, 2):
-            return "2,2,k"
-        if d[:2] == (2, 3) and d[2] in (3, 4, 5):
-            return "2,3,%d" % d[2]
-        return None
-    if case_id == 3:
-        a1, d1, d2 = params
-        if (a1, d1) == (2, 2) and d2 >= 1:
-            return "2,2,k"
-        if (a1, d1) == (2, 3) and d2 <= 2:
-            return "2,3,k<=2"
-        if a1 == 2 and d1 >= 4 and d2 == 1:
-            return "2,k>=4,1"
-        if (a1, d1, d2) == (3, 2, 1):
-            return "3,2,1"
-        return None
-    if case_id == 4:
-        return "a1>=2,d1>=1"
-    if case_id == 5:
-        a2, d1, d2 = params
-        if a2 == 2 and d1 == 2 and d2 <= 3:
-            return "2,2,k<=3"
-        if a2 >= 3 and d1 == 2 and d2 <= 2:
-            return "k>=3,2,k<=2"
-        if d1 >= 3 and d2 == 1:
-            return "k>=2,k>=3,1"
-        return None
-    if case_id == 6:
-        return "a2>=2"
-    if case_id == 7:
-        a2, l, d1, d2 = params
-        if (l, d1, d2) == (2, 2, 1):
-            return "2,2,1"
-        if d1 == 1:
-            return "l,1,k"
-        return None
-    if case_id == 8:
-        return "a1>a2>=2,d1>=1"
-    raise ValueError("case_id must be 1..8")
+    entry = PLT_CASES.get("plt-%d" % case_id)
+    if entry is None:
+        raise ValueError("case_id must be 1..8")
+    family = entry.family(params)
+    return None if family is None else family.tag
 
 
 def enumerate_plt_triples_case(case_id, bound, jobs=None):
@@ -375,7 +307,7 @@ def enumerate_plt_triples_case(case_id, bound, jobs=None):
     if not 1 <= case_id <= 8:
         raise ValueError("case_id must be 1..8")
     jobs = resolve_jobs(jobs)
-    pred = partial(_plt_ample, case_id)
+    pred = partial(_plt_ample, "plt-%d" % case_id)
     hits = _filter(pred, _plt_candidates(case_id, bound), jobs)
     tags = {h: plt_family_tag(case_id, h) for h in hits}
     errors = tuple(

@@ -326,7 +326,8 @@ def completion_to_basis(w):
         for k in range(3):
             u[2][k] = -u[2][k]
         v[2] = -v[2]
-    assert v == [0, 0, 1]
+    if v != [0, 0, 1]:
+        raise RuntimeError("basis completion of %r ended at %r" % (w, v))
     return tuple(tuple(row) for row in u)
 
 
@@ -351,7 +352,8 @@ def ordered_type2(u1, u2):
     r, weights = ordered_quotient_weights(
         (u1[0], u1[1], 0), (u2[0], u2[1], 0), (0, 0, 1)
     )
-    assert r == m
+    if r != m:
+        raise RuntimeError("group order %d differs from the index %d" % (r, m))
     a1, a2 = weights[0], weights[1]
     return m, (a2 * pow(a1, -1, m)) % m
 
@@ -371,5 +373,6 @@ def face_type(u1, u2):
     r, weights = ordered_quotient_weights(u1, u2, z)
     if r == 1:
         return 1, 0
-    assert weights[2] % r == 0  # the complement direction is unmoved
+    if weights[2] % r:  # the complement direction is unmoved
+        raise RuntimeError("the complement direction of the face moves")
     return r, (weights[1] * pow(weights[0], -1, r)) % r

@@ -6,13 +6,21 @@ is such a pair together with a curve class Gamma; this module computes
 degrees, ampleness, adjunction, and the closed-form triple classifications,
 each of type A, D_l, E6, E7 or E8 according to the multiplicity structure of
 the boundary restricted to Gamma.
+
+The case table lives here and nowhere else: PLT_CASES gives each plt case
+its shape (parameters -> surface weights, boundary indices, curve class)
+and its constraint families, and CANONICAL_CASES gives each A/D/E shape of
+the canonical table its forward map.  Scans, tags, tables, chain starts and
+the CLI all read these two tables.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from typing import NamedTuple
 
 
 def _is_standard_coeff(c):
@@ -82,7 +90,8 @@ def exceptional_surface(w):
         raise ValueError("weights must be primitive")
     q = (gcd(w[1], w[2]), gcd(w[0], w[2]), gcd(w[0], w[1]))
     a = tuple(w[i] * q[i] // (q[0] * q[1] * q[2]) for i in range(3))
-    assert all(a[i] * q[(i + 1) % 3] * q[(i + 2) % 3] == w[i] for i in range(3))
+    if any(a[i] * q[(i + 1) % 3] * q[(i + 2) % 3] != w[i] for i in range(3)):
+        raise RuntimeError("weights %r do not factor through their pair gcds" % (w,))
     boundary = [(i + 1, Fraction(q[i] - 1, q[i])) for i in range(3) if q[i] > 1]
     return WPSPair(a, boundary)
 
@@ -205,28 +214,146 @@ class TripleRecord:
 
 
 # ---------------------------------------------------------------------------
-# plt triples (cases 1-8 queryable; 9-10 are data records)
+# The triple table.  Each shape is written once, as a forward map from its
+# parameters; scans and tables apply it to the parameters they iterate, and
+# the classifiers read candidate parameters off a query and keep a match only
+# when the forward map reproduces the query exactly.
 
 
-def _case3_type(a1, d1, d2):
-    if (a1, d1) == (2, 2) and d2 >= 1:
-        return "D%d" % (d2 + 2) if d2 >= 2 else "A"
-    if (a1, d1) == (2, 3) and 1 <= d2 <= 2:
-        return "E6" if d2 == 2 else "A"
-    if a1 == 2 and d1 >= 4 and d2 == 1:
-        return "A"
-    if (a1, d1, d2) == (3, 2, 1):
-        return "A"
-    return None
+class Family(NamedTuple):
+    """One constraint family of a plt case.
+
+    tag names the family in scan reports, ade is its class (A, D, E6, E7 or
+    E8), test decides membership of a parameter tuple, and for class D
+    d_index gives the l of the type D_l.
+    """
+
+    tag: str
+    ade: str
+    test: Callable
+    d_index: Callable | None = None
+
+    def label(self, params):
+        return self.ade if self.d_index is None else "D%d" % self.d_index(*params)
 
 
-def _case5_type(a2, d1, d2):
-    if a2 == 2 and d1 == 2 and d2 <= 3:
-        return {1: "A", 2: "D6", 3: "E7"}[d2]
-    if a2 >= 3 and d1 == 2 and d2 <= 2:
-        return "D%d" % (2 * a2 + 2) if d2 == 2 else "A"
-    if a2 >= 2 and d1 >= 3 and d2 == 1:
-        return "A"
+class PltCase(NamedTuple):
+    """One plt case (cases 1-8 are queryable; 9-10 are data records).
+
+    shape maps the parameters to (surface weights, boundary indices, curve
+    class); read takes the parameters back off surface weights and boundary
+    indices given in one coordinate order; families are tried in order.
+    """
+
+    shape: Callable
+    read: Callable
+    families: tuple
+
+    def family(self, params):
+        return next((f for f in self.families if f.test(*params)), None)
+
+
+PLT_CASES = {
+    # boundary on one line, Gamma a conic
+    "plt-1": PltCase(
+        lambda d1: ((1, 1, 1), (d1, 1, 1), 2),
+        lambda s, d: (d[0],),
+        (Family("d1>=1", "A", lambda d1: True),),
+    ),
+    # full boundary, Gamma a line; the indices are listed sorted
+    "plt-2": PltCase(
+        lambda d1, d2, d3: ((1, 1, 1), (d1, d2, d3), 1),
+        lambda s, d: tuple(sorted(d)),
+        (
+            Family("2,2,k", "D", lambda *d: sorted(d)[:2] == [2, 2], lambda *d: max(d) + 2),
+            Family("2,3,3", "E6", lambda *d: sorted(d) == [2, 3, 3]),
+            Family("2,3,4", "E7", lambda *d: sorted(d) == [2, 3, 4]),
+            Family("2,3,5", "E8", lambda *d: sorted(d) == [2, 3, 5]),
+        ),
+    ),
+    "plt-3": PltCase(
+        lambda a1, d1, d2: ((a1, 1, 1), (d1, d2, 1), a1),
+        lambda s, d: (s[0], d[0], d[1]),
+        (
+            Family("2,2,k", "A", lambda *p: p == (2, 2, 1)),
+            Family(
+                "2,2,k",
+                "D",
+                lambda a1, d1, d2: (a1, d1) == (2, 2) and d2 >= 2,
+                lambda a1, d1, d2: d2 + 2,
+            ),
+            Family("2,3,k<=2", "A", lambda *p: p == (2, 3, 1)),
+            Family("2,3,k<=2", "E6", lambda *p: p == (2, 3, 2)),
+            Family("2,k>=4,1", "A", lambda a1, d1, d2: a1 == 2 and d1 >= 4 and d2 == 1),
+            Family("3,2,1", "A", lambda *p: p == (3, 2, 1)),
+        ),
+    ),
+    "plt-4": PltCase(
+        lambda a1, d1: ((a1, 1, 1), (1, d1, 1), a1 + 1),
+        lambda s, d: (s[0], d[1]),
+        (Family("a1>=2,d1>=1", "A", lambda a1, d1: a1 >= 2),),
+    ),
+    "plt-5": PltCase(
+        lambda a2, d1, d2: ((a2 + 1, a2, 1), (d1, d2, 1), a2 + 1),
+        lambda s, d: (s[1], d[0], d[1]),
+        (
+            Family("2,2,k<=3", "A", lambda *p: p == (2, 2, 1)),
+            Family("2,2,k<=3", "D", lambda *p: p == (2, 2, 2), lambda a2, d1, d2: 2 * a2 + 2),
+            Family("2,2,k<=3", "E7", lambda *p: p == (2, 2, 3)),
+            Family("k>=3,2,k<=2", "A", lambda a2, d1, d2: a2 >= 3 and (d1, d2) == (2, 1)),
+            Family(
+                "k>=3,2,k<=2",
+                "D",
+                lambda a2, d1, d2: a2 >= 3 and (d1, d2) == (2, 2),
+                lambda a2, d1, d2: 2 * a2 + 2,
+            ),
+            Family("k>=2,k>=3,1", "A", lambda a2, d1, d2: a2 >= 2 and d1 >= 3 and d2 == 1),
+        ),
+    ),
+    "plt-6": PltCase(
+        lambda a2: ((2 * a2 + 1, a2, 1), (2, 1, 1), 2 * a2 + 1),
+        lambda s, d: (s[1],),
+        (Family("a2>=2", "D", lambda a2: a2 >= 2, lambda a2: 2 * a2 + 2),),
+    ),
+    "plt-7": PltCase(
+        lambda a2, l, d1, d2: ((l * a2 - 1, a2, 1), (d1, d2, 1), l * a2),
+        lambda s, d: (s[1], (s[0] + 1) // s[1], d[0], d[1]),
+        (
+            Family(
+                "2,2,1",
+                "D",
+                lambda a2, l, d1, d2: a2 >= 2 and (l, d1, d2) == (2, 2, 1),
+                lambda a2, l, d1, d2: 2 * a2 + 1,
+            ),
+            Family("l,1,k", "A", lambda a2, l, d1, d2: a2 >= 2 and l >= 2 and d1 == 1),
+        ),
+    ),
+    "plt-8": PltCase(
+        lambda a1, a2, d1: ((a1, a2, 1), (1, 1, d1), a1 + a2),
+        lambda s, d: (s[0], s[1], d[2]),
+        (Family("a1>a2>=2,d1>=1", "A", lambda a1, a2, d1: a1 > a2 >= 2),),
+    ),
+}
+
+
+def match_plt_case(case, surface_weights, boundary):
+    """(record, curve class) of one plt case on a surface, or None.
+
+    boundary holds the integer indices aligned with the coordinate lines.
+    The case's parameters are read off each simultaneous permutation of the
+    coordinates in turn; the first that the case's shape reproduces and a
+    constraint family contains is the match.
+    """
+    entry = PLT_CASES.get(case)
+    if entry is None:
+        raise ValueError("unknown plt case %r" % (case,))
+    orders = zip(permutations(surface_weights), permutations(boundary))
+    for s, d in dict.fromkeys(orders):  # each distinct order once, first to last
+        params = entry.read(s, d)
+        weights, indices, gamma = entry.shape(*params)
+        family = entry.family(params) if (weights, indices) == (s, d) else None
+        if family is not None:
+            return TripleRecord(case, params, family.label(params)), gamma
     return None
 
 
@@ -246,49 +373,12 @@ def classify_plt_triple(surface_weights, boundary, gamma_degree):
         raise ValueError("need three surface weights and three boundary indices")
     if any(x < 1 for x in s0) or any(x < 1 for x in d0) or gamma < 1:
         raise ValueError("weights, indices and the curve class must be positive")
-
-    for p in permutations(range(3)):
-        s = tuple(s0[i] for i in p)
-        d = tuple(d0[i] for i in p)
-        if s == (1, 1, 1):
-            # case 1: boundary on one line, Gamma a conic
-            if d[1] == d[2] == 1 and gamma == 2:
-                return TripleRecord("plt-1", (d[0],), "A")
-            # case 2: full boundary, Gamma a line
-            if gamma == 1 and all(x >= 2 for x in d):
-                t = ade_type(d)
-                if t is not None and t != "A":
-                    return TripleRecord("plt-2", tuple(sorted(d)), t)
-        if s[1] == 1 and s[2] == 1 and s[0] >= 2:
-            a1 = s[0]
-            if d[2] == 1 and gamma == a1:
-                t = _case3_type(a1, d[0], d[1])
-                if t is not None:
-                    return TripleRecord("plt-3", (a1, d[0], d[1]), t)
-            if d[0] == 1 and d[2] == 1 and gamma == a1 + 1:
-                return TripleRecord("plt-4", (a1, d[1]), "A")
-        if s[2] == 1 and s[0] == s[1] + 1 and s[1] >= 2:
-            a2 = s[1]
-            if d[2] == 1 and gamma == a2 + 1:
-                t = _case5_type(a2, d[0], d[1])
-                if t is not None:
-                    return TripleRecord("plt-5", (a2, d[0], d[1]), t)
-        if s[2] == 1 and s[1] >= 2 and s[0] == 2 * s[1] + 1:
-            a2 = s[1]
-            if d == (2, 1, 1) and gamma == 2 * a2 + 1:
-                return TripleRecord("plt-6", (a2,), "D%d" % (2 * a2 + 2))
-        if s[2] == 1 and s[1] >= 2 and (s[0] + 1) % s[1] == 0:
-            a2 = s[1]
-            l = (s[0] + 1) // a2
-            if l >= 2 and d[2] == 1 and gamma == l * a2:
-                if (l, d[0], d[1]) == (2, 2, 1):
-                    return TripleRecord("plt-7", (a2, l, 2, 1), "D%d" % (2 * a2 + 1))
-                if d[0] == 1 and d[1] >= 1:
-                    return TripleRecord("plt-7", (a2, l, 1, d[1]), "A")
-        if s[2] == 1 and s[0] > s[1] >= 2:
-            a1, a2 = s[0], s[1]
-            if d[0] == 1 and d[1] == 1 and gamma == a1 + a2:
-                return TripleRecord("plt-8", (a1, a2, d[2]), "A")
+    # a case fixes its curve class on a surface, and no two cases share a
+    # surface and a curve class, so the case order decides nothing
+    for case in PLT_CASES:
+        match = match_plt_case(case, s0, d0)
+        if match is not None and match[1] == gamma:
+            return match[0]
     return None
 
 
@@ -313,36 +403,106 @@ def plt_chain_surface_record(case_id, r1, r2, d1, l=None):
     raise ValueError("chain-surface records exist for cases 9 and 10 only")
 
 
-# ---------------------------------------------------------------------------
-# canonical triples (the weight/degree table)
+class CanonicalCase(NamedTuple):
+    """The rows of one case of the canonical weight/degree table.
+
+    forward maps the record parameters to (weights sorted descending, curve
+    class, split degree); read lists the parameters that sorted weights
+    could carry; scan lists the parameters a table up to a bound visits.
+    """
+
+    ade: str
+    forward: Callable
+    read: Callable
+    scan: Callable
 
 
-def _canonical_rows():
-    # (type label, weights sorted descending, gamma degree, split degree)
-    rows = []
-    for t, w, g, split in (
-        ("E6", (3, 2, 2), 3, None),
-        ("E6", (6, 4, 3), 2, None),
-        ("E6", (5, 3, 2), 9, None),
-        ("E6", (4, 2, 1), 3, None),
-        ("E7", (3, 2, 2), 3, None),
-        ("E7", (6, 4, 3), 2, None),
-        ("E7", (9, 6, 4), 3, None),
-        ("E7", (3, 3, 1), 2, None),
-        ("E7", (5, 4, 2), 5, None),
-        ("E7", (7, 5, 3), 14, None),
-        ("E7", (5, 3, 2), 6, 3),
-        ("E8", (3, 2, 2), 3, None),
-        ("E8", (6, 4, 3), 2, None),
-        ("E8", (9, 6, 4), 3, None),
-        ("E8", (12, 8, 5), 6, None),
-        ("E8", (15, 10, 6), 1, None),
-        ("E8", (5, 4, 2), 5, None),
-        ("E8", (10, 7, 4), 10, None),
-        ("E8", (8, 5, 3), 15, None),
-    ):
-        rows.append((t, w, g, split))
-    return rows
+def _desc(*w):
+    return tuple(sorted(w, reverse=True))
+
+
+# the three D shapes: name -> (position of l in the sorted weights,
+# l -> (weights, curve class, split degree))
+_D_SHAPES = {
+    "l,l-1,2": (0, lambda l: (_desc(l, l - 1, 2), l, None)),
+    "l+1,l,1": (1, lambda l: ((l + 1, l, 1), 2 * l, 1)),
+    "l,l,1": (0, lambda l: ((l, l, 1), 2, None)),
+}
+
+# the sporadic E rows: type -> {weights sorted descending: (curve class, split degree)}
+_E_ROWS = {
+    "E6": {(3, 2, 2): (3, None), (6, 4, 3): (2, None), (5, 3, 2): (9, None), (4, 2, 1): (3, None)},
+    "E7": {
+        (3, 2, 2): (3, None),
+        (6, 4, 3): (2, None),
+        (9, 6, 4): (3, None),
+        (3, 3, 1): (2, None),
+        (5, 4, 2): (5, None),
+        (7, 5, 3): (14, None),
+        (5, 3, 2): (6, 3),
+    },
+    "E8": {
+        (3, 2, 2): (3, None),
+        (6, 4, 3): (2, None),
+        (9, 6, 4): (3, None),
+        (12, 8, 5): (6, None),
+        (15, 10, 6): (1, None),
+        (5, 4, 2): (5, None),
+        (10, 7, 4): (10, None),
+        (8, 5, 3): (15, None),
+    },
+}
+
+
+def _e_case(ade, rows):
+    return CanonicalCase(
+        ade,
+        lambda *w: (w,) + rows[w],
+        lambda w: [w] if w in rows else [],
+        lambda bound: list(rows),
+    )
+
+
+CANONICAL_CASES = {
+    # (a1 q3, a2 q3, 1) with Gamma ~ O(a1 + a2), a1 >= a2 coprime
+    "canonical-A": CanonicalCase(
+        "A",
+        lambda a1, a2, q3: (_desc(a1 * q3, a2 * q3, 1), a1 + a2, None),
+        lambda w: [(w[0] // gcd(w[0], w[1]), w[1] // gcd(w[0], w[1]), gcd(w[0], w[1]))],
+        lambda bound: [
+            (a1, a2, q3)
+            for q3 in range(1, bound + 1)
+            for a1 in range(1, bound // q3 + 1)
+            for a2 in range(1, a1 + 1)
+            if gcd(a1, a2) == 1
+        ],
+    ),
+    # three D shapes for each l >= 2; a record names its shape
+    "canonical-D": CanonicalCase(
+        "D",
+        lambda l, shape: _D_SHAPES[shape][1](l),
+        lambda w: [(w[i], shape) for shape, (i, _) in _D_SHAPES.items() if w[i] >= 2],
+        lambda bound: [(l, shape) for shape in _D_SHAPES for l in range(2, bound + 1)],
+    ),
+    **{"canonical-" + t: _e_case(t, rows) for t, rows in _E_ROWS.items()},
+}
+
+
+def canonical_matches(weights):
+    """(record, curve class) of every canonical-table row with these weights.
+
+    Weights are taken up to permutation.  A single weight triple may lie in
+    several type lists, so this is a list, in table order.
+    """
+    w = _desc(*weights)
+    out = []
+    for case, entry in CANONICAL_CASES.items():
+        for params in entry.read(w):
+            row_weights, gamma, split = entry.forward(*params)
+            if row_weights == w:
+                record = TripleRecord(case, params, entry.ade, split_gamma1=split)
+                out.append((record, gamma))
+    return out
 
 
 def classify_canonical_triple(w, gamma_degree):
@@ -352,33 +512,13 @@ def classify_canonical_triple(w, gamma_degree):
     several type lists (e.g. (3,2,2) with a cubic matches the D family at
     l = 3 and the E6/E7/E8 lists), so the result is a tuple of records.
     """
-    w = tuple(sorted((int(x) for x in w), reverse=True))
+    w = _desc(*(int(x) for x in w))
     gamma = int(gamma_degree)
     if any(x < 1 for x in w) or gamma < 1:
         raise ValueError("weights and the curve class must be positive")
     if gcd(gcd(w[0], w[1]), w[2]) != 1:
         raise ValueError("weights must be primitive")
-    out = []
-    # family A: (a1 q3, a2 q3, 1) with Gamma ~ O(a1 + a2)
-    if w[2] == 1:
-        q3 = gcd(w[0], w[1])
-        a1, a2 = w[0] // q3, w[1] // q3
-        if gamma == a1 + a2:
-            out.append(TripleRecord("canonical-A", (a1, a2, q3), "A"))
-    # family D, three rows for each l >= 2
-    for l in range(2, max(w) + 2):
-        if sorted((l, l - 1, 2), reverse=True) == list(w) and gamma == l:
-            out.append(TripleRecord("canonical-D", (l, "l,l-1,2"), "D"))
-        if sorted((l + 1, l, 1), reverse=True) == list(w) and gamma == 2 * l:
-            out.append(TripleRecord("canonical-D", (l, "l+1,l,1"), "D", split_gamma1=1))
-        if sorted((l, l, 1), reverse=True) == list(w) and gamma == 2:
-            out.append(TripleRecord("canonical-D", (l, "l,l,1"), "D"))
-    for t, weights, g, split in _canonical_rows():
-        if weights == w and g == gamma:
-            out.append(
-                TripleRecord("canonical-%s" % t, weights, t, split_gamma1=split)
-            )
-    return tuple(out)
+    return tuple(record for record, g in canonical_matches(w) if g == gamma)
 
 
 def canonical_triple_table(bound):
@@ -388,42 +528,23 @@ def canonical_triple_table(bound):
     the three D rows (largest weight <= bound) and the sporadic E rows.
     """
     rows = []
-    for q3 in range(1, bound + 1):
-        for a1 in range(1, bound // q3 + 1):
-            for a2 in range(1, a1 + 1):
-                if gcd(a1, a2) != 1 or a2 * q3 > bound:
-                    continue
-                w = tuple(sorted((a1 * q3, a2 * q3, 1), reverse=True))
-                rows.append(
-                    (TripleRecord("canonical-A", (a1, a2, q3), "A"), w, a1 + a2)
-                )
-    for l in range(2, bound + 1):
-        if l <= bound:
-            rows.append(
-                (
-                    TripleRecord("canonical-D", (l, "l,l-1,2"), "D"),
-                    tuple(sorted((l, l - 1, 2), reverse=True)),
-                    l,
-                )
-            )
-        if l + 1 <= bound:
-            rows.append(
-                (
-                    TripleRecord("canonical-D", (l, "l+1,l,1"), "D", split_gamma1=1),
-                    (l + 1, l, 1),
-                    2 * l,
-                )
-            )
-        rows.append(
-            (TripleRecord("canonical-D", (l, "l,l,1"), "D"), (l, l, 1), 2)
-        )
-    for t, weights, g, split in _canonical_rows():
-        if max(weights) <= bound:
-            rows.append(
-                (TripleRecord("canonical-%s" % t, weights, t, split_gamma1=split), weights, g)
-            )
+    for case, entry in CANONICAL_CASES.items():
+        for params in entry.scan(bound):
+            w, gamma, split = entry.forward(*params)
+            if max(w) <= bound:
+                record = TripleRecord(case, params, entry.ade, split_gamma1=split)
+                rows.append((record, w, gamma))
     rows.sort(key=lambda row: (row[1], row[2], row[0].case, row[0].params))
-    return [row for row in rows if max(row[1]) <= bound]
+    return rows
+
+
+def triple_case_classes(case):
+    """The A/D/E classes a triple case can carry, None for an unknown case."""
+    if case in PLT_CASES:
+        return tuple(dict.fromkeys(f.ade for f in PLT_CASES[case].families))
+    if case in CANONICAL_CASES:
+        return (CANONICAL_CASES[case].ade,)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Contraction chains: the step law, its refusals, and the bookkeeping."""
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -113,6 +114,13 @@ def test_canonical_table_starts_and_elephant():
     ][0]
     cs2 = start_chain(WeightedBlowup(smooth, (4, 2, 1)), recA2)
     assert cs2.triple == (4, 2, 1)
+
+
+def test_elephant_step_refuses_other_multiplicities():
+    recA = classify_canonical_triple((3, 2, 1), 5)[0]
+    cs0 = start_chain(WeightedBlowup(smooth, (3, 2, 1)), recA)
+    with pytest.raises(ChainError, match="multiplicity one"):
+        canonical_chain_step(dataclasses.replace(cs0, elephant_mult=2), 1)
 
 
 def test_plt_start_rejected_on_cs_blowup():

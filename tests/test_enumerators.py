@@ -1,6 +1,8 @@
 """Bounded searches: hit lists, family tags, worker determinism."""
 import os
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +10,7 @@ from toricsing import enumerators
 from toricsing.blowup import (
     BaseSingularity,
     WeightedBlowup,
+    discrepancy_zero,
     is_canonical_blowup,
     is_terminal_blowup,
 )
@@ -58,6 +61,39 @@ def test_smooth_hits_reverify():
             continue
         assert not is_canonical_blowup(WeightedBlowup(base, w)), w
         missed += 1
+
+
+def test_canonical_smooth_is_two_families_and_nine_sporadics_to_60():
+    rep = enumerate_canonical_smooth(60)
+    assert rep.errors == ()
+    tags = [rep.family_tags[h] for h in rep.hits]
+    assert len(rep.hits) == 1897
+    assert (tags.count("w1,w2,1"), tags.count("l,l-1,2")) == (1830, 58)
+    sporadic = {h for h, tag in zip(rep.hits, tags) if tag == "sporadic"}
+    assert sporadic == set(SPORADIC_SMOOTH)
+
+
+def test_kawamata_one_terminal_blowup_per_cyclic_quotient():
+    # Kawamata: 1/r(-1,-q,1) has exactly one divisorial contraction, of
+    # discrepancy 1/r, so raising the bound finds no other hit
+    for r in range(2, 8):
+        for q in range(1, r):
+            if gcd(r, q) != 1:
+                continue
+            small = enumerate_terminal_cyclic(r, q, r + 2).hits
+            assert small == enumerate_terminal_cyclic(r, q, r + 4).hits
+            assert len(small) == 1, (r, q, small)
+            b = WeightedBlowup(BaseSingularity.cyclic(r, q), small[0])
+            assert discrepancy_zero(b) == Fraction(1, r)
+
+
+def test_kawakita_terminal_smooth_blowups_are_1_a_b():
+    # Kawakita: a divisorial contraction to a smooth point is the weighted
+    # blow-up with weights (1, a, b), a and b coprime
+    hits = set(enumerate_terminal_cyclic(1, 1, 12).hits)
+    assert hits == {
+        (a, b, 1) for a in range(1, 13) for b in range(1, a + 1) if gcd(a, b) == 1
+    }
 
 
 def test_odp_small_bound():

@@ -1,12 +1,16 @@
 """Exceptional surfaces, log-pair ampleness, and the triple classification."""
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricsing.blowup import BaseSingularity, WeightedBlowup
+from toricsing.chain import start_chain
+from toricsing.enumerators import enumerate_plt_triples_case
 from toricsing.surfaces import (
+    PLT_CASES,
     QuadricPair,
     TripleRecord,
     WPSPair,
@@ -16,6 +20,7 @@ from toricsing.surfaces import (
     classify_plt_triple,
     exceptional_surface,
     is_in_Pn,
+    match_plt_case,
     plt_chain_surface_record,
     quadric_surface_pair,
     quadric_triple_condition,
@@ -219,6 +224,38 @@ def test_canonical_table_rows_are_ample():
         s = exceptional_surface(w)
         ample, _ = triple_ample_and_adjunction(s, g)
         assert ample, (record, w, g)
+
+
+def test_plt_scan_hits_round_trip_through_the_classifier():
+    for case_id in range(1, 9):
+        case = "plt-%d" % case_id
+        rep = enumerate_plt_triples_case(case_id, 8)
+        assert rep.hits
+        for params in rep.hits:
+            weights, indices, gamma = PLT_CASES[case].shape(*params)
+            rec = classify_plt_triple(weights, indices, gamma)
+            back = rec is not None and (rec.case, rec.params) == (case, params)
+            assert back == (rep.family_tags[params] is not None), (case, params)
+            assert match_plt_case(case, weights, indices)[1] == gamma
+
+
+def test_canonical_table_rows_round_trip():
+    smooth = BaseSingularity.smooth()
+    table = canonical_triple_table(20)
+    assert len(table) == 285
+    for record, w, g in table:
+        assert record in classify_canonical_triple(w, g), (record, w, g)
+        state = start_chain(WeightedBlowup(smooth, w), record)
+        assert state.gamma[0] == Fraction(g * g, prod(exceptional_surface(w).weights))
+    rows = set(table)
+    for w1 in range(1, 21):
+        for w2 in range(1, w1 + 1):
+            for w3 in range(1, w2 + 1):
+                if gcd(gcd(w1, w2), w3) != 1:
+                    continue
+                for g in range(1, 45):
+                    for record in classify_canonical_triple((w1, w2, w3), g):
+                        assert (record, (w1, w2, w3), g) in rows
 
 
 def test_quadric_triple_condition_examples():
