@@ -28,7 +28,7 @@ from .blowup import (
 from . import chain as chain_mod
 from .chain import ChainError, start_chain
 from .enumerators import (
-    SPORADIC_SMOOTH,
+    canonical_smooth_table,
     enumerate_canonical_odp,
     enumerate_canonical_smooth,
     enumerate_terminal_cyclic,
@@ -36,6 +36,8 @@ from .enumerators import (
 )
 from .quotient import CyclicQuotientType, is_canonical, minimal_discrepancy, normalize
 from .surfaces import (
+    CANONICAL_CASES,
+    PLT_CASES,
     WPSPair,
     canonical_triple_table,
     classify_canonical_triple,
@@ -288,25 +290,11 @@ def cmd_triple(args):
 # table
 
 
-def _table_canonical_smooth(bound):
-    rows = []
-    for w1 in range(1, bound + 1):
-        for w2 in range(1, w1 + 1):
-            rows.append(((w1, w2, 1), "w1,w2,1"))
-    for l in range(3, bound + 1):
-        rows.append(((l, l - 1, 2), "l,l-1,2"))
-    for w in SPORADIC_SMOOTH:
-        if max(w) <= bound:
-            rows.append((w, "sporadic"))
-    rows.sort()
-    return rows
-
-
 def cmd_table(args):
     if args.bound < 1:
         raise UsageError("--bound must be >= 1")
     if args.which == "canonical-smooth":
-        rows = _table_canonical_smooth(args.bound)
+        rows = canonical_smooth_table(args.bound)
         payload = {
             "table": "canonical-smooth",
             "bound": args.bound,
@@ -401,16 +389,6 @@ def cmd_table(args):
 # chain
 
 
-_PLT_CASES = tuple(str(c) for c in range(1, 9))
-_CANONICAL_CASES = (
-    "canonical-A",
-    "canonical-D",
-    "canonical-E6",
-    "canonical-E7",
-    "canonical-E8",
-)
-
-
 def _parse_betas(text):
     steps = []
     if not str(text).strip():
@@ -431,7 +409,7 @@ def _parse_betas(text):
 
 
 def _chain_record(b, case, gamma_opt):
-    if case in _PLT_CASES:
+    if "plt-" + case in PLT_CASES:
         star = chain_mod.star_surface(b)
         match = match_plt_case("plt-" + case, star.lams, star.cs)
         if match is None:
@@ -456,12 +434,15 @@ def _chain_record(b, case, gamma_opt):
 
 def cmd_chain_run(args):
     b = _parse_blowup(args.base, args.weights)
-    if args.triple_case not in _PLT_CASES + _CANONICAL_CASES:
+    case = args.triple_case
+    if "plt-" + case not in PLT_CASES and case not in CANONICAL_CASES:
+        numbers = [key[len("plt-"):] for key in PLT_CASES]
         raise UsageError(
-            "--triple-case is 1..8 or one of %s" % ", ".join(_CANONICAL_CASES)
+            "--triple-case is %s..%s or one of %s"
+            % (numbers[0], numbers[-1], ", ".join(CANONICAL_CASES))
         )
     betas = _parse_betas(args.betas)
-    rec = _chain_record(b, args.triple_case, args.gamma)
+    rec = _chain_record(b, case, args.gamma)
     state = start_chain(b, rec)
     transcript = [{"betas": None, **state.as_dict()}]
     for b1, b2, f in betas:

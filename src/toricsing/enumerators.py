@@ -12,11 +12,13 @@ the output is byte-for-byte independent of the job count.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
 from multiprocessing import Pool
+from typing import NamedTuple
 
 from .blowup import (
     BaseSingularity,
@@ -39,25 +41,54 @@ SPORADIC_SMOOTH = (
     (15, 10, 6),
 )
 
-_SPORADIC_SET = frozenset(SPORADIC_SMOOTH)
+
+class SmoothFamily(NamedTuple):
+    """One family of canonical smooth-point weight vectors.
+
+    tag names the family in reports and tables, test decides membership of
+    a descending triple, and rows lists the members whose largest weight is
+    at most a bound.
+    """
+
+    tag: str
+    test: Callable
+    rows: Callable
+
+
+#: the families of canonical smooth-point blow-ups, tried in order: (2,2,1)
+#: is tagged "w1,w2,1" even though it also heads the second family, whose
+#: rows start at (3,2,2)
+SMOOTH_FAMILIES = (
+    SmoothFamily(
+        "sporadic",
+        frozenset(SPORADIC_SMOOTH).__contains__,
+        lambda bound: [w for w in SPORADIC_SMOOTH if w[0] <= bound],
+    ),
+    SmoothFamily(
+        "w1,w2,1",
+        lambda w: w[2] == 1,
+        lambda bound: [(w1, w2, 1) for w1 in range(1, bound + 1) for w2 in range(1, w1 + 1)],
+    ),
+    SmoothFamily(
+        "l,l-1,2",
+        lambda w: w[2] == 2 and w[0] == w[1] + 1,
+        lambda bound: [(l, l - 1, 2) for l in range(3, bound + 1)],
+    ),
+)
 
 
 def smooth_family_tag(w):
-    """Family of a canonical smooth-point hit, sporadics checked first.
-
-    (2,2,1) is tagged "w1,w2,1" even though it also heads the second family;
-    (3,2,2) is the first genuine "l,l-1,2" member.  Returns None when the
-    vector fits no family — enumerate_canonical_smooth records those as
-    errors.
-    """
+    """Family of a canonical smooth-point hit, the first of SMOOTH_FAMILIES
+    that contains it.  Returns None when the vector fits no family —
+    enumerate_canonical_smooth records those as errors."""
     w = tuple(w)
-    if w in _SPORADIC_SET:
-        return "sporadic"
-    if w[2] == 1:
-        return "w1,w2,1"
-    if w[2] == 2 and w[0] == w[1] + 1:
-        return "l,l-1,2"
-    return None
+    return next((f.tag for f in SMOOTH_FAMILIES if f.test(w)), None)
+
+
+def canonical_smooth_table(bound):
+    """(weights, family tag) of every family member with largest weight at
+    most the bound, sorted by weights."""
+    return sorted((w, f.tag) for f in SMOOTH_FAMILIES for w in f.rows(bound))
 
 
 @dataclass(frozen=True)
@@ -85,6 +116,17 @@ class EnumerationReport:
             },
             "errors": list(self.errors),
         }
+
+
+def _tagged_report(bound, hits, tag):
+    """Report of hits tagged by tag(hit); untagged hits are also errors."""
+    tags = {h: tag(h) for h in hits}
+    errors = tuple(
+        "untagged hit (%s)" % ",".join(str(x) for x in h)
+        for h in hits
+        if tags[h] is None
+    )
+    return EnumerationReport(bound, tuple(hits), tags, errors)
 
 
 def resolve_jobs(jobs=None):
@@ -199,13 +241,7 @@ def enumerate_canonical_smooth(max_weight, jobs=None):
         raise ValueError("bound must be >= 1")
     jobs = resolve_jobs(jobs)
     hits = _filter(_canonical_smooth, _smooth_candidates(bound), jobs)
-    tags = {h: smooth_family_tag(h) for h in hits}
-    errors = tuple(
-        "untagged hit (%s)" % ",".join(str(x) for x in h)
-        for h in hits
-        if tags[h] is None
-    )
-    return EnumerationReport(bound, tuple(hits), tags, errors)
+    return _tagged_report(bound, hits, smooth_family_tag)
 
 
 def enumerate_canonical_odp(max_weight, jobs=None):
@@ -240,51 +276,16 @@ def _plt_ample(case, params):
     return ample
 
 
-def _plt_candidates(case_id, bound):
-    rng = range(1, bound + 1)
-    two_up = range(2, bound + 1)
-    if case_id == 1:
-        return [(d1,) for d1 in rng]
-    if case_id == 2:
-        return [
-            (d1, d2, d3)
-            for d1 in two_up
-            for d2 in range(d1, bound + 1)
-            for d3 in range(d2, bound + 1)
-        ]
-    if case_id == 3:
-        return [(a1, d1, d2) for a1 in two_up for d1 in two_up for d2 in rng]
-    if case_id == 4:
-        return [(a1, d1) for a1 in two_up for d1 in rng]
-    if case_id == 5:
-        return [(a2, d1, d2) for a2 in two_up for d1 in two_up for d2 in rng]
-    if case_id == 6:
-        return [(a2,) for a2 in two_up]
-    if case_id == 7:
-        return [
-            (a2, l, d1, d2)
-            for a2 in two_up
-            for l in two_up
-            for d1 in rng
-            for d2 in rng
-        ]
-    if case_id == 8:
-        return [
-            (a1, a2, d1)
-            for a1 in range(3, bound + 1)
-            for a2 in range(2, a1)
-            if gcd(a1, a2) == 1
-            for d1 in rng
-        ]
-    raise ValueError("case_id must be 1..8")
+def _plt_case(case_id):
+    entry = PLT_CASES.get("plt-%d" % case_id)
+    if entry is None:
+        raise ValueError("case_id must be 1..8")
+    return entry
 
 
 def plt_family_tag(case_id, params):
     """Constraint family of one plt-case hit, None when it fits no family."""
-    entry = PLT_CASES.get("plt-%d" % case_id)
-    if entry is None:
-        raise ValueError("case_id must be 1..8")
-    family = entry.family(params)
+    family = _plt_case(case_id).family(params)
     return None if family is None else family.tag
 
 
@@ -292,30 +293,19 @@ def enumerate_plt_triples_case(case_id, bound, jobs=None):
     """Parameter tuples of one plt-triple case, within bound, whose log pair
     has -(K + D + Gamma) ample.
 
-    The scan runs over the case's own shape: boundary indices start at 2 on
-    lines every listed constraint family keeps (all three lines of case 2,
-    the first line of cases 3 and 5) and at 1 on lines a family may drop.
-    Case 2 tuples are sorted, matching the symmetry of the full boundary.
-    Ampleness is evaluated on the actual pair via triple_ample_and_adjunction;
-    hits are tagged by constraint family, untagged hits are recorded as
-    errors.
+    The scan visits the case's PltCase.scan(bound).  Ampleness is evaluated
+    on the actual pair via triple_ample_and_adjunction; hits are tagged by
+    constraint family, untagged hits are recorded as errors.
     """
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     case_id = int(case_id)
-    if not 1 <= case_id <= 8:
-        raise ValueError("case_id must be 1..8")
+    entry = _plt_case(case_id)
     jobs = resolve_jobs(jobs)
     pred = partial(_plt_ample, "plt-%d" % case_id)
-    hits = _filter(pred, _plt_candidates(case_id, bound), jobs)
-    tags = {h: plt_family_tag(case_id, h) for h in hits}
-    errors = tuple(
-        "untagged hit (%s)" % ",".join(str(x) for x in h)
-        for h in hits
-        if tags[h] is None
-    )
-    return EnumerationReport(bound, tuple(hits), tags, errors)
+    hits = _filter(pred, entry.scan(bound), jobs)
+    return _tagged_report(bound, hits, partial(plt_family_tag, case_id))
 
 
 def enumerate_terminal_cyclic(r, q, max_weight, jobs=None):

@@ -82,10 +82,6 @@ def mat_det(a):
     return det3(a[0], a[1], a[2])
 
 
-def transpose(a):
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-
-
 def adjugate(a):
     """Adjugate matrix, so a · adj(a) = det(a) · I."""
     cofactor = [[0] * 3 for _ in range(3)]
@@ -335,27 +331,6 @@ def project_along(w, vectors):
     """Images of the vectors in N/Zw = Z^2 for primitive w."""
     u = completion_to_basis(w)
     return [tuple(mat_vec(u, x)[:2]) for x in vectors]
-
-
-def ordered_type2(u1, u2):
-    """Complete invariant (m, b) of a 2-d cone with ordered primitive rays.
-
-    m is the index |det(u1,u2)| and the germ is the quotient 1/m(1,b) in
-    coordinates where the u1-eigencoordinate carries weight 1.  Invariant
-    under simultaneous GL_2(Z) change of the lattice.
-    """
-    m = abs(det2(u1, u2))
-    if m == 0:
-        raise ValueError("rays are parallel")
-    if m == 1:
-        return 1, 0
-    r, weights = ordered_quotient_weights(
-        (u1[0], u1[1], 0), (u2[0], u2[1], 0), (0, 0, 1)
-    )
-    if r != m:
-        raise RuntimeError("group order %d differs from the index %d" % (r, m))
-    a1, a2 = weights[0], weights[1]
-    return m, (a2 * pow(a1, -1, m)) % m
 
 
 def face_type(u1, u2):

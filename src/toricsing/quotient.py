@@ -44,21 +44,9 @@ class CyclicQuotientType:
         object.__setattr__(self, "weights", weights)
 
     @property
-    def is_smooth(self):
-        return self.r == 1
-
-    @property
     def is_well_formed(self):
         """Isolated-type condition: every weight invertible mod r."""
         return all(gcd(a, self.r) == 1 for a in self.weights)
-
-    @property
-    def is_codim1_free(self):
-        return all(
-            gcd(gcd(self.weights[i], self.weights[j]), self.r) == 1
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
 
     def as_dict(self):
         return {"r": self.r, "weights": list(self.weights)}

@@ -8,8 +8,8 @@ each of type A, D_l, E6, E7 or E8 according to the multiplicity structure of
 the boundary restricted to Gamma.
 
 The case table lives here and nowhere else: PLT_CASES gives each plt case
-its shape (parameters -> surface weights, boundary indices, curve class)
-and its constraint families, and CANONICAL_CASES gives each A/D/E shape of
+its shape (parameters -> surface weights, boundary indices, curve class),
+its scan range and its constraint families, and CANONICAL_CASES gives each A/D/E shape of
 the canonical table its forward map.  Scans, tags, tables, chain starts and
 the CLI all read these two tables.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 from typing import NamedTuple
 
@@ -243,14 +243,28 @@ class PltCase(NamedTuple):
     shape maps the parameters to (surface weights, boundary indices, curve
     class); read takes the parameters back off surface weights and boundary
     indices given in one coordinate order; families are tried in order.
+
+    scan lists, in lexicographic order, the parameter tuples with every entry
+    at most a bound that a search visits.  It runs over the case's own shape:
+    boundary indices start at 2 on lines every listed constraint family keeps
+    (all three lines of case 2, the first line of cases 3 and 5) and at 1 on
+    lines a family may drop.  Case 2 tuples are sorted, matching the symmetry
+    of the full boundary, and case 8 keeps a1 > a2 coprime.  Every scanned
+    shape has pairwise coprime surface weights.
     """
 
     shape: Callable
     read: Callable
+    scan: Callable
     families: tuple
 
     def family(self, params):
         return next((f for f in self.families if f.test(*params)), None)
+
+
+def _box(bound, *starts):
+    # tuples whose i-th entry runs over starts[i]..bound, in lexicographic order
+    return list(product(*(range(start, bound + 1) for start in starts)))
 
 
 PLT_CASES = {
@@ -258,12 +272,19 @@ PLT_CASES = {
     "plt-1": PltCase(
         lambda d1: ((1, 1, 1), (d1, 1, 1), 2),
         lambda s, d: (d[0],),
+        lambda b: _box(b, 1),
         (Family("d1>=1", "A", lambda d1: True),),
     ),
     # full boundary, Gamma a line; the indices are listed sorted
     "plt-2": PltCase(
         lambda d1, d2, d3: ((1, 1, 1), (d1, d2, d3), 1),
         lambda s, d: tuple(sorted(d)),
+        lambda b: [
+            (d1, d2, d3)
+            for d1 in range(2, b + 1)
+            for d2 in range(d1, b + 1)
+            for d3 in range(d2, b + 1)
+        ],
         (
             Family("2,2,k", "D", lambda *d: sorted(d)[:2] == [2, 2], lambda *d: max(d) + 2),
             Family("2,3,3", "E6", lambda *d: sorted(d) == [2, 3, 3]),
@@ -274,6 +295,7 @@ PLT_CASES = {
     "plt-3": PltCase(
         lambda a1, d1, d2: ((a1, 1, 1), (d1, d2, 1), a1),
         lambda s, d: (s[0], d[0], d[1]),
+        lambda b: _box(b, 2, 2, 1),
         (
             Family("2,2,k", "A", lambda *p: p == (2, 2, 1)),
             Family(
@@ -291,11 +313,13 @@ PLT_CASES = {
     "plt-4": PltCase(
         lambda a1, d1: ((a1, 1, 1), (1, d1, 1), a1 + 1),
         lambda s, d: (s[0], d[1]),
+        lambda b: _box(b, 2, 1),
         (Family("a1>=2,d1>=1", "A", lambda a1, d1: a1 >= 2),),
     ),
     "plt-5": PltCase(
         lambda a2, d1, d2: ((a2 + 1, a2, 1), (d1, d2, 1), a2 + 1),
         lambda s, d: (s[1], d[0], d[1]),
+        lambda b: _box(b, 2, 2, 1),
         (
             Family("2,2,k<=3", "A", lambda *p: p == (2, 2, 1)),
             Family("2,2,k<=3", "D", lambda *p: p == (2, 2, 2), lambda a2, d1, d2: 2 * a2 + 2),
@@ -313,11 +337,13 @@ PLT_CASES = {
     "plt-6": PltCase(
         lambda a2: ((2 * a2 + 1, a2, 1), (2, 1, 1), 2 * a2 + 1),
         lambda s, d: (s[1],),
+        lambda b: _box(b, 2),
         (Family("a2>=2", "D", lambda a2: a2 >= 2, lambda a2: 2 * a2 + 2),),
     ),
     "plt-7": PltCase(
         lambda a2, l, d1, d2: ((l * a2 - 1, a2, 1), (d1, d2, 1), l * a2),
         lambda s, d: (s[1], (s[0] + 1) // s[1], d[0], d[1]),
+        lambda b: _box(b, 2, 2, 1, 1),
         (
             Family(
                 "2,2,1",
@@ -331,6 +357,13 @@ PLT_CASES = {
     "plt-8": PltCase(
         lambda a1, a2, d1: ((a1, a2, 1), (1, 1, d1), a1 + a2),
         lambda s, d: (s[0], s[1], d[2]),
+        lambda b: [
+            (a1, a2, d1)
+            for a1 in range(3, b + 1)
+            for a2 in range(2, a1)
+            if gcd(a1, a2) == 1
+            for d1 in range(1, b + 1)
+        ],
         (Family("a1>a2>=2,d1>=1", "A", lambda a1, a2, d1: a1 > a2 >= 2),),
     ),
 }
@@ -514,6 +547,8 @@ def classify_canonical_triple(w, gamma_degree):
     """
     w = _desc(*(int(x) for x in w))
     gamma = int(gamma_degree)
+    if len(w) != 3:
+        raise ValueError("need three weights")
     if any(x < 1 for x in w) or gamma < 1:
         raise ValueError("weights and the curve class must be positive")
     if gcd(gcd(w[0], w[1]), w[2]) != 1:

@@ -174,6 +174,17 @@ def test_chain_d_type_step_refusal_exits_1():
     assert err == "error: chain terminates: only type A continues\n"
 
 
+def test_chain_unknown_case_lists_the_cases():
+    code, out, err = run(
+        ["chain", "run", "--base", "smooth", "--weights", "1,1,1", "--triple-case", "9"]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage error: --triple-case is 1..8 or one of canonical-A, canonical-D, "
+        "canonical-E6, canonical-E7, canonical-E8\n"
+    )
+
+
 def test_chain_canonical_needs_gamma():
     code, out, err = run(
         ["chain", "run", "--base", "smooth", "--weights", "3,2,2",

@@ -17,6 +17,7 @@ from toricsing.blowup import (
 from toricsing.enumerators import (
     SPORADIC_SMOOTH,
     EnumerationReport,
+    canonical_smooth_table,
     enumerate_canonical_odp,
     enumerate_canonical_smooth,
     enumerate_plt_triples_case,
@@ -71,6 +72,7 @@ def test_canonical_smooth_is_two_families_and_nine_sporadics_to_60():
     assert (tags.count("w1,w2,1"), tags.count("l,l-1,2")) == (1830, 58)
     sporadic = {h for h, tag in zip(rep.hits, tags) if tag == "sporadic"}
     assert sporadic == set(SPORADIC_SMOOTH)
+    assert canonical_smooth_table(60) == list(zip(rep.hits, tags))
 
 
 def test_kawamata_one_terminal_blowup_per_cyclic_quotient():

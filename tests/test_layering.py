@@ -1,8 +1,10 @@
-"""Source checks on the package: module boundaries and explicit invariants.
+"""Source checks on the package: module boundaries, explicit invariants
+and dead code.
 
-No module imports or reads another module's underscore name, and no
-`assert` statement is left in the package (python -O removes them, so an
-invariant must raise explicitly).
+No module imports or reads another module's underscore name, no `assert`
+statement is left in the package (python -O removes them, so an invariant
+must raise explicitly), and every function, class and method the package
+defines is referenced by name somewhere in src/, tests/ or bench/.
 """
 import ast
 from pathlib import Path
@@ -11,10 +13,15 @@ import toricsing
 
 PACKAGE = Path(toricsing.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = PACKAGE.parents[1]
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _private(name):
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not _dunder(name)
 
 
 def _violations(path):
@@ -52,3 +59,41 @@ def test_modules_are_found():
 def test_no_private_cross_module_use_and_no_asserts():
     bad = {p.name: v for p in MODULES if (v := _violations(p))}
     assert bad == {}
+
+
+def _definitions(path):
+    """Module-level functions and classes, and the non-dunder methods."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds[:2]) and not _dunder(item.name):
+                    yield "%s.%s" % (node.name, item.name)
+
+
+def _referenced_names(paths):
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_definition_is_referenced():
+    sources = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    used = _referenced_names(sources)
+    unused = [
+        "%s.%s" % (path.stem, name)
+        for path in MODULES
+        for name in _definitions(path)
+        if name.rsplit(".", 1)[-1] not in used
+    ]
+    assert unused == []

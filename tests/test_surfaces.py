@@ -177,8 +177,9 @@ def test_classify_canonical_triple_examples():
     assert got[0].params == (3, "l,l-1,2")
     got = classify_canonical_triple((15, 10, 6), 1)
     assert [r.case for r in got] == ["canonical-E8"]
-    with pytest.raises(ValueError):
-        classify_canonical_triple((2, 4, 6), 1)
+    for bad in ((2, 4, 6), (2, 1), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            classify_canonical_triple(bad, 1)
 
 
 FROZEN_E_ROWS = [
@@ -237,6 +238,18 @@ def test_plt_scan_hits_round_trip_through_the_classifier():
             back = rec is not None and (rec.case, rec.params) == (case, params)
             assert back == (rep.family_tags[params] is not None), (case, params)
             assert match_plt_case(case, weights, indices)[1] == gamma
+
+
+def test_plt_scans_are_sorted_nested_and_coprime():
+    for case_id in range(1, 9):
+        entry = PLT_CASES["plt-%d" % case_id]
+        for b in range(1, 11):
+            scan = entry.scan(b)
+            assert scan == sorted(set(scan)), (case_id, b)
+            assert scan == [p for p in entry.scan(b + 1) if max(p) <= b], (case_id, b)
+            for params in scan:
+                a1, a2, a3 = entry.shape(*params)[0]
+                assert gcd(a1, a2) == gcd(a1, a3) == gcd(a2, a3) == 1, (case_id, params)
 
 
 def test_canonical_table_rows_round_trip():
