@@ -433,11 +433,16 @@ class StarSurface:
     lams: tuple
 
 
+def check_chain_base(b):
+    """Raise ValueError unless chains are modeled over the blow-up's base."""
+    if b.base.kind == "odp":
+        raise ValueError("chain starts are modeled over smooth and cyclic bases only")
+
+
 def star_surface(b):
     """The exceptional surface of a point blow-up, read off the star of its ray."""
+    check_chain_base(b)
     gens = b.base.cone_generators()
-    if len(gens) != 3:
-        raise ValueError("chain starts are modeled over smooth and cyclic bases only")
     w = b.weights
     imgs = project_along(w, list(gens))
     prims, cs = zip(*(primitivize(v) for v in imgs))
@@ -536,8 +541,7 @@ def start_chain(b, record):
         raise ValueError("start_chain needs a weighted blow-up")
     if not isinstance(record, TripleRecord):
         raise ValueError("start_chain needs a classified triple record")
-    if b.base.kind == "odp":
-        raise ValueError("chain starts are modeled over smooth and cyclic bases only")
+    check_chain_base(b)
     if record.case in ("plt-9", "plt-10"):
         raise ValueError(
             "cases 9 and 10 record chain surfaces; they do not start a chain"

@@ -26,7 +26,7 @@ from .blowup import (
     discrepancy_zero,
 )
 from . import chain as chain_mod
-from .chain import ChainError, start_chain
+from .chain import ChainError, check_chain_base, start_chain
 from .enumerators import (
     canonical_smooth_table,
     enumerate_canonical_odp,
@@ -418,8 +418,6 @@ def _chain_record(b, case, gamma_opt):
                 % case
             )
         return match[0]
-    if gamma_opt is None:
-        raise UsageError("canonical cases need --gamma")
     recs = [
         r
         for r in classify_canonical_triple(b.weights, gamma_opt)
@@ -442,6 +440,9 @@ def cmd_chain_run(args):
             % (numbers[0], numbers[-1], ", ".join(CANONICAL_CASES))
         )
     betas = _parse_betas(args.betas)
+    if case in CANONICAL_CASES and args.gamma is None:
+        raise UsageError("canonical cases need --gamma")
+    check_chain_base(b)
     rec = _chain_record(b, case, args.gamma)
     state = start_chain(b, rec)
     transcript = [{"betas": None, **state.as_dict()}]
@@ -540,9 +541,14 @@ def build_parser():
     return p
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use: importing the module stays cheap
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

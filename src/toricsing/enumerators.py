@@ -14,10 +14,8 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import gcd
-from multiprocessing import Pool
 from typing import NamedTuple
 
 from .blowup import (
@@ -26,7 +24,7 @@ from .blowup import (
     is_canonical_blowup,
     is_terminal_blowup,
 )
-from .surfaces import PLT_CASES, WPSPair, triple_ample_and_adjunction
+from .surfaces import PLT_CASES, triple_ample
 
 #: the nine canonical smooth-point weight vectors outside the two families
 SPORADIC_SMOOTH = (
@@ -145,10 +143,20 @@ def resolve_jobs(jobs=None):
     return min(jobs, os.cpu_count() or 1)
 
 
+#: the fewest candidates worth a process pool.  On a 2-core machine starting
+#: a pool of two cost about 40 ms and a blow-up candidate about 20 us: the
+#: pool lost at smooth bound 15 (552 candidates, 12 ms serial), broke even
+#: at bound 30 (4,027 candidates, 74 ms) and won at bound 40 (9,389
+#: candidates, 160 ms serial against 110-140 ms).
+POOL_MIN_CANDIDATES = 5000
+
+
 def _filter(pred, items, jobs):
-    if jobs <= 1 or len(items) < 4:
+    if jobs <= 1 or len(items) < POOL_MIN_CANDIDATES:
         flags = [pred(x) for x in items]
     else:
+        from multiprocessing import Pool
+
         chunk = max(1, len(items) // (jobs * 8))
         with Pool(processes=jobs) as pool:
             flags = pool.map(pred, items, chunksize=chunk)
@@ -268,12 +276,7 @@ def enumerate_canonical_odp(max_weight, jobs=None):
 
 
 def _plt_ample(case, params):
-    weights, indices, gamma = PLT_CASES[case].shape(*params)
-    boundary = [
-        (line, Fraction(m - 1, m)) for line, m in zip((1, 2, 3), indices) if m > 1
-    ]
-    ample, _ = triple_ample_and_adjunction(WPSPair(weights, boundary), gamma)
-    return ample
+    return triple_ample(*PLT_CASES[case].shape(*params))
 
 
 def _plt_case(case_id):
@@ -293,18 +296,20 @@ def enumerate_plt_triples_case(case_id, bound, jobs=None):
     """Parameter tuples of one plt-triple case, within bound, whose log pair
     has -(K + D + Gamma) ample.
 
-    The scan visits the case's PltCase.scan(bound).  Ampleness is evaluated
-    on the actual pair via triple_ample_and_adjunction; hits are tagged by
-    constraint family, untagged hits are recorded as errors.
+    The scan visits the case's PltCase.scan(bound) and applies the integer
+    test surfaces.triple_ample to each candidate's shape; hits are tagged by
+    constraint family, untagged hits are recorded as errors.  A candidate
+    costs about a microsecond, so the scan runs serially at every job count
+    (jobs is still checked).
     """
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     case_id = int(case_id)
     entry = _plt_case(case_id)
-    jobs = resolve_jobs(jobs)
+    resolve_jobs(jobs)
     pred = partial(_plt_ample, "plt-%d" % case_id)
-    hits = _filter(pred, entry.scan(bound), jobs)
+    hits = _filter(pred, entry.scan(bound), 1)
     return _tagged_report(bound, hits, partial(plt_family_tag, case_id))
 
 

@@ -158,18 +158,37 @@ def wps_degree(s, d1, d2):
     return Fraction(d1 * d2, a1 * a2 * a3)
 
 
+def triple_ample(weights, indices, gamma_degree):
+    """Whether -(K_S + D + Gamma) is ample on S = P(a1,a2,a3).
+
+    indices are the boundary indices m_i on the coordinate lines (1 for no
+    boundary), so D = sum (m_i-1)/m_i {x_i = 0}, and Gamma has class
+    gamma_degree.  -(K_S + D + Gamma) has class sum(a_i/m_i) - Gamma, so in
+    integers it is ample iff a1 m2 m3 + a2 m1 m3 + a3 m1 m2 > Gamma m1 m2 m3.
+    Weights that are not well-formed raise the ValueError of WPSPair.
+    """
+    a1, a2, a3 = weights
+    m1, m2, m3 = indices
+    if a1 < 1 or a2 < 1 or a3 < 1:
+        raise ValueError("need three positive weights")
+    if gcd(a1, a2) != 1 or gcd(a1, a3) != 1 or gcd(a2, a3) != 1:
+        raise ValueError("weights must be pairwise coprime (well-formed)")
+    if m1 < 1 or m2 < 1 or m3 < 1:
+        raise ValueError("boundary indices must be >= 1")
+    return a1 * m2 * m3 + a2 * m1 * m3 + a3 * m1 * m2 > gamma_degree * m1 * m2 * m3
+
+
 def triple_ample_and_adjunction(s, gamma_degree):
     """Ampleness of -(K_S + D + Gamma) and the log degree of Gamma.
 
-    Returns (ample, deg(K_Gamma + Diff_Gamma(D))).  The anticanonical degree
-    is sum(a_i); boundary lines contribute their coefficient times a_i; the
-    log degree comes from adjunction, (K_S + D + Gamma)·Gamma.
+    Returns (ample, deg(K_Gamma + Diff_Gamma(D))).  Ampleness is
+    triple_ample; the log degree comes from adjunction,
+    (K_S + D + Gamma)·Gamma = (Gamma - sum(a_i/m_i))·Gamma.
     """
     a = s.weights
-    neg_deg = Fraction(sum(a)) - gamma_degree
-    for line, c in s.boundary:
-        neg_deg -= c * a[line - 1]
-    ample = neg_deg > 0
+    indices = tuple(s.boundary_index(line) for line in (1, 2, 3))
+    ample = triple_ample(a, indices, gamma_degree)
+    neg_deg = sum(Fraction(ai, m) for ai, m in zip(a, indices)) - gamma_degree
     log_degree = -neg_deg * Fraction(gamma_degree, a[0] * a[1] * a[2])
     return ample, log_degree
 

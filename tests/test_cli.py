@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from toricsing import cli
 from toricsing.cli import main
 
 
@@ -194,6 +195,15 @@ def test_chain_canonical_needs_gamma():
     assert err == "usage error: canonical cases need --gamma\n"
 
 
+@pytest.mark.parametrize(
+    "case_args", [["--triple-case", "1"], ["--triple-case", "canonical-A", "--gamma", "1"]]
+)
+def test_chain_over_the_odp_base_gives_one_error(case_args):
+    code, out, err = run(["chain", "run", "--base", "odp", "--weights", "1,1,1,1"] + case_args)
+    assert (code, out) == (1, "")
+    assert err == "error: chain starts are modeled over smooth and cyclic bases only\n"
+
+
 def test_chain_canonical_a_runs():
     code, out, _ = run(
         ["chain", "run", "--base", "smooth", "--weights", "3,2,1",
@@ -267,3 +277,31 @@ def test_enumerate_zero_jobs_is_usage_error():
     code, out, err = run(["table", "quadric-triples", "--bound", "3", "--jobs", "0"])
     assert code == 2 and out == ""
     assert err == "usage error: jobs must be >= 1\n"
+
+
+def _exit_and_streams(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_answers_as_a_fresh_one(monkeypatch):
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    argv = ["classify", "--quotient", "9,1,4,7", "--format", "json"]
+    assert run(argv) == run(argv)
+    for bad in (
+        ["classify", "--quotient", "9,1,4,7", "--format", "xml"],
+        ["enumerate", "--base", "smooth"],
+        ["chain"],
+        ["--help"],
+    ):
+        fresh = _exit_and_streams(real_build().parse_args, bad)
+        assert fresh[0] in (0, 2)
+        assert _exit_and_streams(main, bad) == fresh
+        assert _exit_and_streams(main, bad) == fresh
+    assert len(builds) == 1

@@ -1,6 +1,9 @@
 """Bounded searches: hit lists, family tags, worker determinism."""
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -169,6 +172,45 @@ def test_jobs_determinism():
         r2 = fn(*args, jobs=2)
         assert r1.hits == r2.hits
         assert r1.family_tags == r2.family_tags
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The worker counts of the process pools started while the test runs."""
+    starts = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        starts.append(kwargs.get("processes"))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    return starts
+
+
+def test_pool_starts_only_above_the_cutoff(pool_starts, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bound = 33
+    candidates = enumerators._smooth_candidates(bound)
+    assert len(candidates) >= enumerators.POOL_MIN_CANDIDATES
+    assert enumerate_canonical_smooth(bound, jobs=2) == enumerate_canonical_smooth(bound, jobs=1)
+    assert pool_starts == [2]
+    # acceptance 10's sizes and the plt scans stay serial at jobs=2
+    enumerate_canonical_smooth(15, jobs=2)
+    enumerate_canonical_odp(6, jobs=2)
+    enumerate_plt_triples_case(7, 12, jobs=2)
+    assert pool_starts == [2]
+
+
+def test_importing_the_package_does_not_import_multiprocessing():
+    src = os.path.dirname(os.path.dirname(enumerators.__file__))
+    code = "import sys, toricsing, toricsing.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert out.stdout == "False\n"
 
 
 def test_resolve_jobs():

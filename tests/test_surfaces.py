@@ -24,6 +24,7 @@ from toricsing.surfaces import (
     plt_chain_surface_record,
     quadric_surface_pair,
     quadric_triple_condition,
+    triple_ample,
     triple_ample_and_adjunction,
     wps_degree,
 )
@@ -89,6 +90,53 @@ def test_triple_ample_examples():
     # plain conic in the plane: the log degree is deg K of a rational curve
     ample, logdeg = triple_ample_and_adjunction(WPSPair((1, 1, 1)), 2)
     assert ample and logdeg == -2
+
+
+def _fraction_ample(weights, indices, gamma):
+    # the coefficient form: deg -(K + D + Gamma) = sum a_i - sum c_i a_i - Gamma
+    # with c_i = (m_i - 1)/m_i
+    neg = sum(weights) - gamma - sum(F(m - 1, m) * a for a, m in zip(weights, indices))
+    return neg > 0
+
+
+def _check_triple_ample(weights, indices, gamma):
+    s = WPSPair(weights, [(i + 1, F(m - 1, m)) for i, m in enumerate(indices)])
+    ample, log_degree = triple_ample_and_adjunction(s, gamma)
+    expected = _fraction_ample(weights, indices, gamma)
+    assert triple_ample(weights, indices, gamma) == ample == expected
+    assert (log_degree < 0) == expected
+
+
+def test_triple_ample_matches_the_pair_on_every_scan_candidate():
+    n = 0
+    for case in PLT_CASES.values():
+        for params in case.scan(10):
+            _check_triple_ample(*case.shape(*params))
+            n += 1
+    assert n > 10000
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 60)] * 3).filter(
+        lambda a: gcd(a[0], a[1]) == gcd(a[0], a[2]) == gcd(a[1], a[2]) == 1
+    ),
+    st.tuples(*[st.integers(1, 12)] * 3),
+    st.integers(1, 60),
+)
+def test_triple_ample_matches_the_pair_on_coprime_weights(weights, indices, gamma):
+    _check_triple_ample(weights, indices, gamma)
+
+
+def test_triple_ample_refuses_what_the_pair_refuses():
+    for weights in ((2, 4, 1), (3, 1, 6), (1, 5, 10), (0, 1, 1)):
+        with pytest.raises(ValueError) as pair_error:
+            WPSPair(weights)
+        with pytest.raises(ValueError) as int_error:
+            triple_ample(weights, (1, 1, 1), 1)
+        assert str(int_error.value) == str(pair_error.value)
+    with pytest.raises(ValueError, match="boundary indices"):
+        triple_ample((1, 1, 1), (2, 0, 1), 1)
 
 
 def test_ade_type_examples():
